@@ -19,7 +19,7 @@ array:
   detached K-step simulation (the attack loop's snapshot-selection path).
 
 ``pace-repro analyze`` runs the sweep by default (``--fast`` skips it)
-and ``pace-repro bench --compile`` stamps its verdict into the report.
+and reports its verdict under ``equivalence`` in the JSON output.
 """
 
 from __future__ import annotations

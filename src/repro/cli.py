@@ -6,9 +6,8 @@ Examples::
     python -m repro attack --dataset tpch --model mscn --method lbg --count 48
     python -m repro speculate --dataset dmv --model lstm
     python -m repro serve-sim --dataset dmv --model mscn --rounds 3
-    python -m repro serve-bench --requests 512
+    python -m repro cluster-sim --drill --output CLUSTER_DRILL.json
     python -m repro ops-sim --chaos --output OPS_SIM.json
-    python -m repro ops-bench --sweeps 500
     python -m repro lint --format json
     python -m repro analyze
     python -m repro analyze --changed
@@ -74,26 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--compile", action="store_true",
                          help="force compiled execution on for the run "
                               "(default: honor REPRO_COMPILE)")
-
-    bench = sub.add_parser(
-        "bench", help="run the smoke benchmark grid and write BENCH_*.json"
-    )
-    bench.add_argument("--scale", choices=available_scales(), default="smoke")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--output", default="BENCH_PR7.json",
-                       help="report path; bare filenames land under benchmarks/ "
-                            "(default: BENCH_PR7.json)")
-    bench.add_argument("--baseline", default=None,
-                       help="baseline BENCH_*.json to compute speedups against "
-                            "(default: benchmarks/baselines/BENCH_SEED.json if present)")
-    bench.add_argument("--no-baseline", action="store_true",
-                       help="skip the baseline comparison even if one exists")
-    bench.add_argument("--real-timing", action="store_true",
-                       help="use the real clock for speculation latency probes")
-    bench.add_argument("--compile", action="store_true",
-                       help="force compiled execution on for every cell and "
-                            "record the equivalence-sweep verdict in the report "
-                            "(default: honor REPRO_COMPILE)")
 
     lint = sub.add_parser(
         "lint", help="run the repo-specific per-file static-analysis rules (R001-R006)"
@@ -190,24 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_sim.add_argument("--output", default=None,
                            help="also write the JSON report to this path")
 
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="micro-batched serving vs sequential explain throughput; "
-             "writes BENCH_PR4.json",
-    )
-    _add_common(serve_bench)
-    serve_bench.add_argument("--requests", type=int, default=512,
-                             help="request-stream length (default: 512)")
-    serve_bench.add_argument("--max-batch", type=int, default=32,
-                             help="micro-batch size cap (default: 32)")
-    serve_bench.add_argument("--repeats", type=int, default=3,
-                             help="timing repeats, best kept (default: 3)")
-    serve_bench.add_argument("--compile", action="store_true",
-                             help="force compiled execution on for both paths "
-                                  "(default: inherit the process-wide toggle)")
-    serve_bench.add_argument("--output", default=None,
-                             help="report path (default: benchmarks/BENCH_PR4.json)")
-
     cluster_sim = sub.add_parser(
         "cluster-sim",
         help="sharded multi-worker serving simulation: consistent-hash "
@@ -241,39 +202,16 @@ def build_parser() -> argparse.ArgumentParser:
                              help="shared promotion store root "
                                   "(default: cluster-store)")
     cluster_sim.add_argument("--drill", action="store_true",
-                             help="kill-a-worker drill: run the session "
-                                  "undisturbed and with a mid-traffic worker "
-                                  "crash, compare scenario digests; exits 1 "
-                                  "on divergence")
+                             help="failure drills: kill a worker mid-traffic "
+                                  "and compare scenario digests against the "
+                                  "undisturbed run, then kill it again with "
+                                  "respawn off and check the survivors serve "
+                                  "every request; exits 1 if either fails "
+                                  "(needs --workers >= 2)")
     cluster_sim.add_argument("--drill-worker", type=int, default=0,
                              help="worker the drill kills (default: 0)")
     cluster_sim.add_argument("--output", default=None,
                              help="also write the JSON report to this path")
-
-    cluster_bench = sub.add_parser(
-        "cluster-bench",
-        help="QPS scaling across 1/2/4/8 workers + the kill-a-worker "
-             "digest drill; writes BENCH_PR9.json",
-    )
-    _add_common(cluster_bench)
-    cluster_bench.add_argument("--workers", type=int, nargs="+",
-                               default=[1, 2, 4, 8],
-                               help="worker counts to sweep (default: 1 2 4 8)")
-    cluster_bench.add_argument("--tenants", type=int, default=64,
-                               help="tenant estimator families (default: 64)")
-    cluster_bench.add_argument("--requests", type=int, default=512,
-                               help="request-trace length (default: 512)")
-    cluster_bench.add_argument("--transport", choices=("inline", "process"),
-                               default="inline",
-                               help="worker transport (default: inline)")
-    cluster_bench.add_argument("--store", default="cluster-store",
-                               help="shared promotion store root "
-                                    "(default: cluster-store)")
-    cluster_bench.add_argument("--no-drill", action="store_true",
-                               help="skip the embedded kill-a-worker drill")
-    cluster_bench.add_argument("--output", default=None,
-                               help="report path "
-                                    "(default: benchmarks/BENCH_PR9.json)")
 
     ops_sim = sub.add_parser(
         "ops-sim",
@@ -311,24 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "stability is then not checked)")
     ops_sim.add_argument("--output", default=None,
                          help="also write the JSON report to this path")
-
-    ops_bench = sub.add_parser(
-        "ops-bench",
-        help="monitoring-plane overhead: TSDB ingest, stats snapshots, "
-             "detector sweeps; writes BENCH_PR10.json",
-    )
-    ops_bench.add_argument("--seed", type=int, default=0)
-    ops_bench.add_argument("--points", type=int, default=20000,
-                           help="raw points per series in the ingest stage "
-                                "(default: 20000)")
-    ops_bench.add_argument("--snapshots", type=int, default=2000,
-                           help="ServeStats snapshots ingested (default: 2000)")
-    ops_bench.add_argument("--sweeps", type=int, default=500,
-                           help="detector-bank sweeps (default: 500)")
-    ops_bench.add_argument("--repeats", type=int, default=3,
-                           help="timing repeats, best kept (default: 3)")
-    ops_bench.add_argument("--output", default=None,
-                           help="report path (default: benchmarks/BENCH_PR10.json)")
 
     gradcheck = sub.add_parser(
         "gradcheck",
@@ -382,18 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (runs_list, runs_show, runs_resume, runs_gc):
         sp.add_argument("--store", default=DEFAULT_STORE,
                         help=f"artifact store root (default: {DEFAULT_STORE})")
-
-    resume_bench = sub.add_parser(
-        "resume-bench",
-        help="measure warm-resume speedup (crash mid-grid, resume, compare "
-             "digests); writes BENCH_PR5.json",
-    )
-    resume_bench.add_argument("--methods", nargs="+", choices=METHODS,
-                              default=["clean", "random", "lbs"])
-    resume_bench.add_argument("--scale", choices=available_scales(), default=None)
-    resume_bench.add_argument("--seed", type=int, default=0)
-    resume_bench.add_argument("--output", default=None,
-                              help="report path (default: benchmarks/BENCH_PR5.json)")
 
     sub.add_parser("info", help="list datasets, model types, methods, scales")
     return parser
@@ -471,46 +379,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        DEFAULT_BASELINE,
-        attach_baseline,
-        format_report,
-        load_report,
-        run_bench,
-        write_report,
-    )
-
-    report = run_bench(
-        scale=args.scale,
-        seed=args.seed,
-        deterministic_timing=not args.real_timing,
-        compile_enabled=True if args.compile else None,
-    )
-    if report["compile"]["enabled"]:
-        # A compiled bench is only publishable alongside proof that the
-        # compiled numerics match the interpreter, so run the sweep and
-        # stamp its verdict into the report.
-        from repro.analysis.equivalence import run_equivalence
-
-        equivalence = run_equivalence(seed=args.seed)
-        report["compile"]["byte_identical_equivalence"] = bool(
-            equivalence["byte_identical"]
-        )
-        report["compile"]["equivalence_max_abs_diff"] = float(
-            equivalence["max_abs_diff"]
-        )
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline and DEFAULT_BASELINE.exists():
-        baseline_path = str(DEFAULT_BASELINE)
-    if baseline_path and not args.no_baseline:
-        attach_baseline(report, load_report(baseline_path), baseline_path)
-    out = write_report(report, args.output)
-    print(format_report(report))
-    print(f"\nreport written to {out}")
-    return 0
-
-
 def cmd_serve_sim(args: argparse.Namespace) -> int:
     from repro.serve import ServeSimConfig, format_serve_report, run_serve_sim
     from repro.store.io import atomic_write_json
@@ -537,26 +405,6 @@ def cmd_serve_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.perf import write_report
-    from repro.serve.bench import DEFAULT_REPORT, format_serve_bench, run_serve_bench
-
-    report = run_serve_bench(
-        dataset=args.dataset,
-        model_type=args.model,
-        scale=args.scale or "smoke",
-        seed=args.seed,
-        requests=args.requests,
-        max_batch=args.max_batch,
-        repeats=args.repeats,
-        compile_enabled=True if args.compile else None,
-    )
-    out = write_report(report, args.output or DEFAULT_REPORT)
-    print(format_serve_bench(report))
-    print(f"\nreport written to {out}")
-    return 0
-
-
 def cmd_cluster_sim(args: argparse.Namespace) -> int:
     from repro.cluster.sim import (
         ClusterSimConfig,
@@ -564,9 +412,14 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
         format_drill_report,
         run_cluster_drill,
         run_cluster_sim,
+        run_reroute_drill,
     )
     from repro.store.io import atomic_write_json
 
+    if args.drill and args.workers < 2:
+        print("cluster-sim: error: --drill needs --workers >= 2 (the re-route "
+              "drill must leave a survivor)", file=sys.stderr)
+        return 2
     config = ClusterSimConfig(
         dataset=args.dataset,
         model_type=args.model,
@@ -586,8 +439,10 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
     )
     if args.drill:
         report = run_cluster_drill(config)
+        report["reroute_drill"] = run_reroute_drill(config)
         print(format_drill_report(report))
-        ok = report["identical"] and report["drill"]["fired"]
+        ok = (report["identical"] and report["drill"]["fired"]
+              and report["reroute_drill"]["drill"]["ok"])
     else:
         report = run_cluster_sim(config)
         print(format_cluster_report(report))
@@ -597,40 +452,6 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
         out = atomic_write_json(Path(args.output), report, sort_keys=True)
         print(f"\nreport written to {out}")
     return 0 if ok else 1
-
-
-def cmd_cluster_bench(args: argparse.Namespace) -> int:
-    from repro.cluster.bench import (
-        DEFAULT_REPORT,
-        ClusterBenchConfig,
-        format_cluster_bench,
-        run_cluster_bench,
-    )
-    from repro.perf import write_report
-
-    config = ClusterBenchConfig(
-        dataset=args.dataset,
-        model_type=args.model,
-        scale=args.scale or "smoke",
-        seed=args.seed,
-        worker_counts=tuple(args.workers),
-        tenants=args.tenants,
-        requests=args.requests,
-        transport=args.transport,
-        store_root=args.store,
-        drill=not args.no_drill,
-    )
-    report = run_cluster_bench(config)
-    out = write_report(report, args.output or DEFAULT_REPORT)
-    print(format_cluster_bench(report))
-    print(f"\nreport written to {out}")
-    if "drill" in report and not (
-        report["drill"]["identical"] and report["drill"]["fired"]
-    ):
-        return 1
-    if "reroute_drill" in report and not report["reroute_drill"]["ok"]:
-        return 1
-    return 0
 
 
 def cmd_ops_sim(args: argparse.Namespace) -> int:
@@ -659,29 +480,6 @@ def cmd_ops_sim(args: argparse.Namespace) -> int:
         print(f"\nreport written to {out}")
     if args.chaos and not report["verdict"]["ok"]:
         return 1
-    return 0
-
-
-def cmd_ops_bench(args: argparse.Namespace) -> int:
-    from repro.ops.bench import (
-        DEFAULT_REPORT,
-        OpsBenchConfig,
-        format_ops_bench,
-        run_ops_bench,
-    )
-    from repro.perf import write_report
-
-    config = OpsBenchConfig(
-        seed=args.seed,
-        points=args.points,
-        snapshots=args.snapshots,
-        sweeps=args.sweeps,
-        repeats=args.repeats,
-    )
-    report = run_ops_bench(config)
-    out = write_report(report, args.output or DEFAULT_REPORT)
-    print(format_ops_bench(report))
-    print(f"\nreport written to {out}")
     return 0
 
 
@@ -1149,22 +947,6 @@ def cmd_runs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_resume_bench(args: argparse.Namespace) -> int:
-    from repro.store.bench import DEFAULT_REPORT, format_resume_bench, run_resume_bench
-    from repro.store.io import atomic_write_json
-
-    report = run_resume_bench(
-        methods=tuple(args.methods),
-        scale=args.scale or "smoke",
-        seed=args.seed,
-    )
-    out = atomic_write_json(Path(args.output or DEFAULT_REPORT), report,
-                            sort_keys=False)
-    print(format_resume_bench(report))
-    print(f"\nreport written to {out}")
-    return 0
-
-
 def cmd_info(_args: argparse.Namespace) -> int:
     print("datasets:   ", ", ".join(DATASET_NAMES))
     print("model types:", ", ".join(MODEL_TYPES))
@@ -1180,20 +962,15 @@ def main(argv: list[str] | None = None) -> int:
         "attack": cmd_attack,
         "speculate": cmd_speculate,
         "profile": cmd_profile,
-        "bench": cmd_bench,
         "serve-sim": cmd_serve_sim,
-        "serve-bench": cmd_serve_bench,
         "cluster-sim": cmd_cluster_sim,
-        "cluster-bench": cmd_cluster_bench,
         "ops-sim": cmd_ops_sim,
-        "ops-bench": cmd_ops_bench,
         "lint": cmd_lint,
         "analyze": cmd_analyze,
         "verify-ir": cmd_verify_ir,
         "gradcheck": cmd_gradcheck,
         "grid": cmd_grid,
         "runs": cmd_runs,
-        "resume-bench": cmd_resume_bench,
         "info": cmd_info,
     }
     return handlers[args.command](args)

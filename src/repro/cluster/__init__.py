@@ -8,11 +8,6 @@ See :mod:`repro.cluster.router` for the failure-recovery story and
 :mod:`repro.cluster.sim` for the deterministic drill harness.
 """
 
-from repro.cluster.bench import (
-    ClusterBenchConfig,
-    format_cluster_bench,
-    run_cluster_bench,
-)
 from repro.cluster.promotion import ClusterPromotion, seed_checkpoint
 from repro.cluster.ring import HashRing, ring_position, shard_key
 from repro.cluster.router import ClusterError, ClusterRequest, ClusterRouter
@@ -36,7 +31,6 @@ from repro.cluster.sim import (
 from repro.cluster.worker import ShardWorker, WorkerSpec, worker_main
 
 __all__ = [
-    "ClusterBenchConfig",
     "ClusterError",
     "ClusterPromotion",
     "ClusterRequest",
@@ -52,11 +46,9 @@ __all__ = [
     "WorkerSpec",
     "decode_frame",
     "encode_frame",
-    "format_cluster_bench",
     "format_cluster_report",
     "format_drill_report",
     "ring_position",
-    "run_cluster_bench",
     "run_cluster_drill",
     "run_cluster_sim",
     "scenario_digest",

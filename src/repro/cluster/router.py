@@ -14,7 +14,7 @@ Recovery has two modes:
   ``warm_restart``s from the promotion lineage digest, and the failed
   batch is re-sent. Because recovery happens *within the same simulated
   service instant*, a drilled run's completion record is byte-identical
-  to an undisturbed run's — the property `cluster-bench` verifies.
+  to an undisturbed run's — the property `cluster-sim --drill` verifies.
 * **re-route** (``respawn=False``) — the dead node's ring spans fall to
   its successors and its queue is re-keyed through the ring; a degraded
   mode that keeps serving with N-1 workers.

@@ -539,7 +539,7 @@ def run_reroute_drill(config: ClusterSimConfig | None = None) -> dict:
     survivors_ok = drilled["workers_after"] == config.workers - 1
     return {
         "schema_version": SCHEMA_VERSION,
-        "tool": "pace-repro cluster-sim --reroute-drill",
+        "tool": "pace-repro cluster-sim --drill",
         "config": asdict(config),
         "drill": {
             "worker": config.drill_worker,
@@ -597,10 +597,15 @@ def format_cluster_report(report: dict) -> str:
 
 
 def format_drill_report(report: dict) -> str:
-    """Console summary for ``pace-repro cluster-sim --drill``."""
+    """Console summary for ``pace-repro cluster-sim --drill``.
+
+    ``report`` is a :func:`run_cluster_drill` report carrying the
+    :func:`run_reroute_drill` report under ``reroute_drill``.
+    """
     drill = report["drill"]
     ref, hit = report["reference"], report["drilled"]
     verdict = "IDENTICAL" if report["identical"] else "DIVERGED"
+    reroute = report["reroute_drill"]["drill"]
     return "\n".join([
         f"pace-repro cluster-sim --drill · kill worker {drill['worker']} at "
         f"estimate frame {drill['ordinal']} (round {drill['round']})",
@@ -609,4 +614,8 @@ def format_drill_report(report: dict) -> str:
         f"  reference:      {ref['digest']}",
         f"  drilled:        {hit['digest']}",
         f"  scenario digest: {verdict}",
+        f"  reroute drill:  killed worker {reroute['worker']} with respawn "
+        f"off (fired={reroute['fired']}) — {reroute['workers_after']} "
+        f"survivor(s), all requests finalized={reroute['all_finalized']} — "
+        f"{'ok' if reroute['ok'] else 'FAIL'}",
     ])

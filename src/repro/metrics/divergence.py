@@ -9,7 +9,6 @@ dimension on a shared grid and average the per-dimension JS divergences.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import jensenshannon
 
 from repro.utils.errors import ReproError
 
@@ -30,8 +29,12 @@ def js_divergence_1d(a: np.ndarray, b: np.ndarray, bins: int = 20) -> float:
     # Laplace smoothing keeps the divergence finite on disjoint supports.
     pa = pa.astype(np.float64) + 1e-9
     pb = pb.astype(np.float64) + 1e-9
-    distance = jensenshannon(pa / pa.sum(), pb / pb.sum(), base=2.0)
-    return float(distance**2)  # scipy returns the JS *distance* (sqrt)
+    pa /= pa.sum()
+    pb /= pb.sum()
+    # (KL(pa || m) + KL(pb || m)) / 2 in bits, with m the midpoint.
+    m = (pa + pb) / 2.0
+    nats = np.sum(pa * np.log(pa / m)) + np.sum(pb * np.log(pb / m))
+    return float(nats / np.log(2.0) / 2.0)
 
 
 def workload_divergence(

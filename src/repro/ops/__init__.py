@@ -21,8 +21,7 @@ already export and acting on what it finds:
 * :mod:`repro.ops.loop` — the closed-loop controller gluing the above;
 * :mod:`repro.ops.chaos` / :mod:`repro.ops.sim` — ``ops-sim`` replays
   attack traffic the controller is *not told about* and proves
-  detection + recovery in one scenario digest;
-* :mod:`repro.ops.bench` — ``ops-bench`` overhead report.
+  detection + recovery in one scenario digest.
 """
 
 from repro.ops.actions import (

@@ -1,25 +1,16 @@
-"""Profiling, op-counting, and benchmark persistence for the reproduction.
+"""Profiling and op-counting for the reproduction.
 
-Three pieces:
+Two pieces:
 
 * :data:`~repro.perf.registry.PERF` — a process-wide registry of scoped
   wall-clock spans and counters with near-zero overhead while disabled;
 * :func:`~repro.perf.profile.profile_scenario` — per-phase breakdown
-  (encode / train / speculate / attack / update) of one scenario run;
-* :func:`~repro.perf.bench.run_bench` — the smoke-grid benchmark runner
-  behind ``pace-repro bench``, persisting ``BENCH_*.json`` reports with
-  speedups against the recorded seed baseline.
+  (encode / train / speculate / attack / update) of one scenario run.
+
+Same-host measurement with repeats and correctness gates lives outside
+the package, in ``perfbench/``.
 """
 
-from repro.perf.bench import (
-    DEFAULT_BASELINE,
-    SMOKE_GRID,
-    attach_baseline,
-    format_report,
-    load_report,
-    run_bench,
-    write_report,
-)
 from repro.perf.profile import PHASES, PhaseProfile, format_profile, profile_scenario
 from repro.perf.registry import PERF, PerfRegistry
 
@@ -30,11 +21,4 @@ __all__ = [
     "PhaseProfile",
     "profile_scenario",
     "format_profile",
-    "run_bench",
-    "attach_baseline",
-    "format_report",
-    "load_report",
-    "write_report",
-    "SMOKE_GRID",
-    "DEFAULT_BASELINE",
 ]

@@ -4,8 +4,8 @@
 setup → encode → train → speculate → attack → update → evaluate — but
 drives each phase explicitly under a :data:`~repro.perf.registry.PERF`
 span, so the breakdown is exclusive (no phase double-counts another).
-``pace-repro profile`` renders the result as a table; ``pace-repro
-bench`` aggregates several of these into a ``BENCH_*.json`` report.
+``pace-repro profile`` renders the result as a table, and
+``perfbench/`` times it as one attack cell.
 """
 
 from __future__ import annotations

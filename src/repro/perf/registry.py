@@ -4,7 +4,7 @@ The module exposes a single process-wide :data:`PERF` registry. Hot paths
 guard every interaction behind ``PERF.enabled`` (a plain attribute read),
 and :meth:`PerfRegistry.span` returns a shared null context manager when
 disabled, so the instrumented code pays near-zero overhead unless a
-profiling entry point (``pace-repro profile`` / ``pace-repro bench``)
+profiling entry point (``pace-repro profile`` or ``perfbench/``)
 switched the registry on.
 
 The registry deliberately has no dependencies on the rest of the package

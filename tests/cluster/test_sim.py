@@ -4,16 +4,23 @@ import dataclasses
 
 import pytest
 
+from repro.cluster.promotion import seed_checkpoint
+from repro.cluster.router import ClusterRouter
 from repro.cluster.sim import (
     ClusterSimConfig,
     ClusterTraffic,
     _build_world,
+    drive_round,
     run_cluster_drill,
     run_cluster_sim,
     run_session,
     scenario_digest,
 )
+from repro.cluster.worker import WorkerSpec
+from repro.harness.experiments import get_scenario
+from repro.serve.server import DONE
 from repro.store.store import ArtifactStore
+from repro.utils.clock import ManualClock, use_clock
 from repro.utils.errors import ReproError
 
 #: A small clean-traffic scenario shared by the session tests.
@@ -149,3 +156,65 @@ class TestDrill:
         assert len(report["reference"]["promotions"]) >= 1
         assert report["identical"]
         assert report["reference"]["digest"] == report["drilled"]["digest"]
+
+
+class TestModelledScaling:
+    """Modelled wave-count scaling from 1 to 8 shard workers.
+
+    Under the router's :class:`~repro.utils.clock.ManualClock` every worker
+    serves up to ``max_batch`` requests per ``1/service_hz`` service
+    instant, so the simulated makespan of a fixed trace is set by the
+    most-loaded shard. Completed requests per simulated second therefore
+    measure how evenly the ring spreads the load across workers, in
+    waves; no wall clock is involved and the ratio is *not* a speedup.
+    """
+
+    TENANTS = tuple(f"tenant-{i:02d}" for i in range(64))
+
+    @pytest.fixture(scope="class")
+    def world(self, tmp_path_factory):
+        scenario = get_scenario("dmv", "fcn", scale="smoke", seed=0)
+        scenario.reset()
+        store = ArtifactStore(tmp_path_factory.mktemp("scaling-store"))
+        digest = seed_checkpoint(store, scenario.model)
+        return store, digest, scenario.train_workload.queries
+
+    def _completed_per_modelled_second(self, world, workers):
+        store, digest, pool = world
+        specs = [
+            WorkerSpec(
+                worker_id=wid, dataset="dmv", model_type="fcn", scale="smoke",
+                seed=0, store_root=str(store.root), initial_digest=digest,
+                tenants=self.TENANTS, cache_capacity=512,
+            )
+            for wid in range(workers)
+        ]
+        clock = ManualClock(domain="router")
+        with use_clock(clock):
+            router = ClusterRouter(
+                specs, transport="inline", vnodes=128, max_queue=4096,
+                max_batch=16, clock=clock,
+            )
+            router.start()
+            # Offered load far above any arm's capacity, so the makespan
+            # measures the drain rate rather than the arrival window.
+            traffic = ClusterTraffic(
+                benign_pool=pool, poison_pool=[], tenants=list(self.TENANTS),
+                qps=65536.0, poison_fraction=0.0, seed=0,
+            )
+            try:
+                submitted, _ = drive_round(
+                    router, traffic, clock, requests=512, service_hz=64.0,
+                    timeout=None,
+                )
+                makespan = clock()
+            finally:
+                router.shutdown()
+        completed = sum(1 for r in submitted if r.status == DONE)
+        assert completed == 512
+        return completed / makespan
+
+    def test_eight_workers_drain_at_least_five_times_the_waves(self, world):
+        one = self._completed_per_modelled_second(world, 1)
+        eight = self._completed_per_modelled_second(world, 8)
+        assert eight >= 5.0 * one

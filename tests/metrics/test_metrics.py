@@ -111,6 +111,61 @@ class TestDivergence:
         assert d_ab == pytest.approx(d_ba, abs=1e-9)
 
 
+class TestScipyOracle:
+    """The NumPy JS divergence against ``scipy.spatial.distance.jensenshannon``.
+
+    SciPy is a dev-only dependency, so it serves here as an oracle that
+    shares no code with :mod:`repro.metrics.divergence`.
+    """
+
+    @staticmethod
+    def _oracle_1d(a, b, bins=20):
+        jensenshannon = pytest.importorskip("scipy.spatial.distance").jensenshannon
+        lo, hi = min(a.min(), b.min()), max(a.max(), b.max())
+        if hi <= lo:
+            return 0.0
+        edges = np.linspace(lo, hi, bins + 1)
+        pa = np.histogram(a, bins=edges)[0] + 1e-9
+        pb = np.histogram(b, bins=edges)[0] + 1e-9
+        return float(jensenshannon(pa, pb, base=2.0) ** 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_histograms(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0.0, 1.0, size=300)
+        b = rng.normal(rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0), size=200)
+        assert js_divergence_1d(a, b) == pytest.approx(
+            self._oracle_1d(a, b), abs=1e-12
+        )
+
+    def test_identical_support(self):
+        x = np.random.default_rng(3).uniform(size=400)
+        assert js_divergence_1d(x, x.copy()) == pytest.approx(
+            self._oracle_1d(x, x.copy()), abs=1e-12
+        )
+
+    def test_disjoint_support(self):
+        rng = np.random.default_rng(4)
+        a = rng.uniform(0.0, 0.4, size=250)
+        b = rng.uniform(0.6, 1.0, size=250)
+        expected = self._oracle_1d(a, b)
+        assert expected > 0.99
+        assert js_divergence_1d(a, b) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_workload_divergence(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        poison = rng.beta(0.5, 2.0, size=(64, 6))
+        history = rng.uniform(size=(256, 6))
+        poison[:, 0] = 0.25  # a constant column piles into a single bin
+        expected = np.mean([
+            self._oracle_1d(poison[:, d], history[:, d]) for d in range(6)
+        ])
+        assert workload_divergence(poison, history) == pytest.approx(
+            expected, abs=1e-12
+        )
+
+
 class TestReport:
     def test_render_alignment(self):
         text = render_table(["name", "value"], [["a", 1.0], ["bb", 22.5]], title="T")

@@ -204,3 +204,57 @@ class TestDurableRunCommands:
 
         assert main(["runs", "gc", "--store", store_dir]) == 0
         assert "removed 0 objects" in capsys.readouterr().out
+
+
+class TestClusterDrillCommand:
+    """``cluster-sim --drill`` gates on both the kill and the re-route drill.
+
+    The drills themselves are covered in ``tests/cluster``; here they are
+    stubbed so only the command's exit-code contract is exercised.
+    """
+
+    @staticmethod
+    def _kill_report(identical=True, fired=True):
+        return {
+            "drill": {"worker": 0, "ordinal": 1, "round": 2, "fired": fired},
+            "reference": {"respawns": 0, "digest": "0" * 64},
+            "drilled": {"respawns": int(fired), "digest": "0" * 64},
+            "identical": identical,
+        }
+
+    @staticmethod
+    def _reroute_report(ok=True):
+        return {"drill": {
+            "worker": 0, "fired": ok, "workers_after": 1,
+            "all_finalized": ok, "ok": ok,
+        }}
+
+    @pytest.fixture()
+    def drills(self, monkeypatch):
+        import repro.cluster.sim as sim
+
+        verdicts = {"identical": True, "fired": True, "reroute_ok": True}
+        monkeypatch.setattr(sim, "run_cluster_drill", lambda config: (
+            self._kill_report(verdicts["identical"], verdicts["fired"])
+        ))
+        monkeypatch.setattr(sim, "run_reroute_drill", lambda config: (
+            self._reroute_report(verdicts["reroute_ok"])
+        ))
+        return verdicts
+
+    @pytest.mark.parametrize("failing, expected", [
+        (None, 0), ("identical", 1), ("fired", 1), ("reroute_ok", 1),
+    ])
+    def test_exit_code_needs_every_drill_verdict(
+        self, drills, failing, expected, tmp_path, capsys
+    ):
+        if failing:
+            drills[failing] = False
+        code = main(["cluster-sim", "--drill", "--store", str(tmp_path)])
+        assert code == expected
+        out = capsys.readouterr().out
+        assert "scenario digest" in out and "reroute drill" in out
+
+    def test_single_worker_drill_is_a_usage_error(self, drills, capsys):
+        assert main(["cluster-sim", "--drill", "--workers", "1"]) == 2
+        assert "--workers >= 2" in capsys.readouterr().err
