@@ -24,8 +24,7 @@ Four tools live here, all wired into the CLI:
   ``analyze``.
 
 Findings render as text, JSON, or SARIF 2.1.0
-(:mod:`repro.analysis.sarif`); repeated runs reuse the content-addressed
-per-file parse cache (:mod:`repro.analysis.flow.cache`).
+(:mod:`repro.analysis.sarif`).
 """
 
 from repro.analysis.equivalence import (

@@ -99,14 +99,12 @@ def run_flow(
     paths: Iterable[Path | str],
     reference_paths: Iterable[Path | str] = (),
     select: Iterable[str] | None = None,
-    program: Program | None = None,
 ) -> list[Finding]:
     """Run the whole-program rules over ``paths``.
 
     ``reference_paths`` (tests, benchmarks, examples) widen the universe
     the analyses see — a helper called only from a test is *not* dead —
-    without themselves being flagged. A prebuilt ``program`` (e.g. from
-    the incremental cache) skips the parse.
+    without themselves being flagged.
 
     Concurrency findings (R013–R016) and compile-site coverage (R020)
     honor the structured ``# safe:`` suppression in addition to
@@ -119,8 +117,7 @@ def run_flow(
     )
 
     rules = all_flow_rules(select=select)
-    if program is None:
-        program = build_program(paths, reference_paths=reference_paths)
+    program = build_program(paths, reference_paths=reference_paths)
     safe = safe_suppressions(program)
     by_display = {m.display_path: m for m in program.modules.values()}
     findings = []

@@ -171,20 +171,9 @@ class Program:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_module(self, path: Path, is_target: bool, cache=None) -> None:
-        raw = path.read_bytes()
-        if cache is not None:
-            from repro.analysis.flow.cache import content_digest
-
-            digest = content_digest(raw, path)
-            cached = cache.get(digest)
-            if cached is not None:
-                module, references = cached
-                module.is_target = is_target
-                self._register(module, references)
-                return
+    def add_module(self, path: Path, is_target: bool) -> None:
         try:
-            source = raw.decode("utf-8")
+            source = path.read_bytes().decode("utf-8")
             tree = ast.parse(source, filename=str(path))
         except (SyntaxError, UnicodeDecodeError):
             # The per-file linter reports E999 for target files; the flow
@@ -203,17 +192,9 @@ class Program:
             is_target=is_target,
         )
         self._index_symbols(module)
-        references = _collect_references(module.tree)
-        self._register(module, references)
-        if cache is not None:
-            cache.put(digest, (module, references))
-
-    def _register(self, module: ModuleInfo, references: list[tuple[str, int]]) -> None:
         self.modules[module.name] = module
-        for info in self.all_functions(module):
-            self.functions[info.qualname] = info
-        for name, line in references:
-            self.references.setdefault(name, []).append(Reference(module.name, line))
+        for ref_name, line in _collect_references(module.tree):
+            self.references.setdefault(ref_name, []).append(Reference(module.name, line))
 
     def _index_symbols(self, module: ModuleInfo) -> None:
         for node in module.tree.body:
@@ -247,7 +228,7 @@ class Program:
                 module.classes[node.name] = cls
 
 def _collect_references(tree: ast.Module) -> list[tuple[str, int]]:
-    """Every ``(name, line)`` reference in a module — cache-friendly."""
+    """Every ``(name, line)`` reference in a module."""
     out: list[tuple[str, int]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -293,24 +274,18 @@ def build_parent_map(tree: ast.Module) -> dict[ast.AST, ast.AST]:
 def build_program(
     target_paths: Iterable[Path | str],
     reference_paths: Iterable[Path | str] = (),
-    cache=None,
 ) -> Program:
-    """Parse and index targets plus the surrounding reference universe.
-
-    ``cache`` is an optional
-    :class:`~repro.analysis.flow.cache.ProgramCache`: unchanged files
-    load their parsed module and symbol tables straight from it.
-    """
+    """Parse and index targets plus the surrounding reference universe."""
     program = Program()
     seen: set[Path] = set()
     for path in iter_python_files(target_paths):
         resolved = path.resolve()
         if resolved not in seen:
             seen.add(resolved)
-            program.add_module(path, is_target=True, cache=cache)
+            program.add_module(path, is_target=True)
     for path in iter_python_files(reference_paths):
         resolved = path.resolve()
         if resolved not in seen:
             seen.add(resolved)
-            program.add_module(path, is_target=False, cache=cache)
+            program.add_module(path, is_target=False)
     return program

@@ -55,14 +55,13 @@ def _shrink_join_pattern(schema, pattern: np.ndarray, scores: np.ndarray) -> np.
     Used to retarget ``G_join`` when a pattern's join blows the execution
     budget; the result stays a valid (connected, non-empty) pattern.
     """
-    import networkx as nx
-
     names = schema.table_names
     tables = {names[i] for i in np.nonzero(pattern > 0.5)[0]}
     if len(tables) <= 2:
         return pattern
-    graph = schema.join_graph().subgraph(tables)
-    articulation = set(nx.articulation_points(graph))
+    # In a connected pattern, a table is an articulation point iff the
+    # pattern falls apart without it.
+    articulation = {t for t in tables if not schema.is_valid_join_set(tables - {t})}
     # Iterate in sorted order so score ties break the same way regardless
     # of set hash order.
     removable = sorted(

@@ -107,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--select", default=None, metavar="IDS",
                          help="comma-separated flow rule ids to run "
                               "(e.g. R013,R015); per-file lint rules always run")
-    analyze.add_argument("--no-cache", action="store_true",
-                         help="bypass the per-file parse cache "
-                              "(.pace-analyze-cache)")
     analyze.add_argument("--skip-gradcheck", action="store_true",
                          help="skip the finite-difference gradient audit")
     analyze.add_argument("--skip-smoke", action="store_true",
@@ -209,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "every request; exits 1 if either fails "
                                   "(needs --workers >= 2)")
     cluster_sim.add_argument("--drill-worker", type=int, default=0,
-                             help="worker the drill kills (default: 0)")
+                             help="worker the drill kills, in [0, --workers) "
+                                  "(default: 0)")
     cluster_sim.add_argument("--output", default=None,
                              help="also write the JSON report to this path")
 
@@ -244,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "detected the attack, recovered within the "
                               "envelope, recorded lineage, and the repeated "
                               "run's scenario digest matched byte-for-byte")
-    ops_sim.add_argument("--no-stability", action="store_true",
-                         help="skip the repeated ops arm (faster; digest "
-                              "stability is then not checked)")
     ops_sim.add_argument("--output", default=None,
                          help="also write the JSON report to this path")
 
@@ -412,13 +407,16 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
         format_drill_report,
         run_cluster_drill,
         run_cluster_sim,
-        run_reroute_drill,
     )
     from repro.store.io import atomic_write_json
 
     if args.drill and args.workers < 2:
         print("cluster-sim: error: --drill needs --workers >= 2 (the re-route "
               "drill must leave a survivor)", file=sys.stderr)
+        return 2
+    if args.drill and not 0 <= args.drill_worker < args.workers:
+        print(f"cluster-sim: error: --drill-worker must be in "
+              f"[0, {args.workers}), got {args.drill_worker}", file=sys.stderr)
         return 2
     config = ClusterSimConfig(
         dataset=args.dataset,
@@ -439,7 +437,6 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
     )
     if args.drill:
         report = run_cluster_drill(config)
-        report["reroute_drill"] = run_reroute_drill(config)
         print(format_drill_report(report))
         ok = (report["identical"] and report["drill"]["fired"]
               and report["reroute_drill"]["drill"]["ok"])
@@ -472,7 +469,7 @@ def cmd_ops_sim(args: argparse.Namespace) -> int:
         guard_factor=args.guard_factor,
         store_root=args.store,
     )
-    report = run_ops_sim(config, stability=not args.no_stability)
+    report = run_ops_sim(config)
     print(format_ops_report(report))
     if args.output:
         # sort_keys makes equal-seed runs byte-identical on disk.
@@ -635,8 +632,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         run_smoke,
         run_trace_smoke,
     )
-    from repro.analysis.flow.cache import ProgramCache
-    from repro.analysis.flow.program import build_program
 
     targets = _default_analysis_targets(args.paths)
     # Tests/benchmarks/examples are parsed as callers (a helper used only
@@ -649,13 +644,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     select = args.select.split(",") if args.select else None
     if args.changed:
         return _analyze_changed(args, targets, reference_roots, select)
-    cache = None if args.no_cache else ProgramCache()
     try:
         findings = run_lint(targets)
-        program = build_program(targets, reference_paths=reference_roots, cache=cache)
-        findings += run_flow(
-            targets, reference_paths=reference_roots, select=select, program=program
-        )
+        findings += run_flow(targets, reference_paths=reference_roots, select=select)
     except (KeyError, FileNotFoundError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"analyze: error: {message}", file=sys.stderr)

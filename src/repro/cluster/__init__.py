@@ -26,7 +26,6 @@ from repro.cluster.sim import (
     format_drill_report,
     run_cluster_drill,
     run_cluster_sim,
-    scenario_digest,
 )
 from repro.cluster.worker import ShardWorker, WorkerSpec, worker_main
 
@@ -51,7 +50,6 @@ __all__ = [
     "ring_position",
     "run_cluster_drill",
     "run_cluster_sim",
-    "scenario_digest",
     "seed_checkpoint",
     "shard_key",
     "worker_main",

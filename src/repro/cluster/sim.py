@@ -12,39 +12,44 @@ canonical JSON of the session's deterministic core (config coordinates,
 the full per-request completion trace, promotion lineage digests, the
 Q-error trajectory, and the primary's final checkpoint digest).
 Wall-clock-ish extras (worker telemetry, compile-cache stats) stay out of
-the core. :func:`run_cluster_drill` is built on that digest: it runs the
-same guarded session twice — once undisturbed, once with a
-``faults.py``-driven kill of one worker mid-traffic — and checks the two
+the core. :func:`run_cluster_drill` is built on that digest: it runs one
+undisturbed reference session, then the same session with a
+``faults.py``-driven kill of one worker mid-traffic, and checks the two
 digests are byte-identical, which is the whole failure-handling story
-(router re-dispatch + respawn + lineage warm-restart) in one equality.
+(router re-dispatch + respawn + lineage warm-restart) in one equality. A
+third session repeats the kill with respawn off and checks that the
+survivors still finalize every request.
+
+The world, digest and report pieces are shared with serve-sim and ops-sim
+(:mod:`repro.serve.scenario`).
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from repro.ce.deployment import DeployedEstimator
-from repro.ce.trainer import evaluate_q_errors
 from repro.cluster.promotion import ClusterPromotion, seed_checkpoint
 from repro.cluster.router import ClusterRequest, ClusterRouter
 from repro.cluster.worker import ESTIMATE_SITE, WorkerSpec
 from repro.db.query import Query
-from repro.harness.experiments import (
-    AttackScenario,
-    craft_poison,
-    get_scenario,
-    get_surrogate,
+from repro.serve.scenario import (
+    World,
+    arm_summary,
+    build_world,
+    digest_config,
+    format_arms,
+    fresh_run,
+    guard_effect,
+    outcome_counts,
+    report_header,
+    round_record,
+    scenario_digest,
 )
 from repro.serve.stats import ServeStats
-from repro.store.io import canonical_json_bytes
 from repro.store.store import ArtifactStore
 from repro.utils.clock import ManualClock, use_clock
 from repro.utils.errors import ReproError
 from repro.utils.rng import derive_rng
-from repro.workload.workload import Workload
-
-SCHEMA_VERSION = 1
 
 #: Default on-disk location of the cluster's shared promotion store.
 DEFAULT_CLUSTER_STORE = "cluster-store"
@@ -134,11 +139,6 @@ class ClusterTraffic:
         return out
 
 
-def scenario_digest(core: dict) -> str:
-    """SHA-256 over the canonical JSON of a session's deterministic core."""
-    return hashlib.sha256(canonical_json_bytes(core)).hexdigest()
-
-
 def drive_round(
     router: ClusterRouter,
     traffic: ClusterTraffic,
@@ -182,55 +182,8 @@ def drive_round(
     return submitted, waves
 
 
-def _fresh_run(store: ArtifactStore, run_id: str, params: dict, seed: int):
-    if store.has_run(run_id):
-        store.delete_run(run_id)
-    return store.create_run("cluster-sim", run_id, params=params, seed=seed)
-
-
-def _worker_specs(
-    config: ClusterSimConfig,
-    store: ArtifactStore,
-    initial_digest: str,
-    tenants: list[str],
-    faults: dict[int, tuple[tuple[str, str, int], ...]] | None = None,
-) -> list[WorkerSpec]:
-    faults = faults or {}
-    return [
-        WorkerSpec(
-            worker_id=wid,
-            dataset=config.dataset,
-            model_type=config.model_type,
-            scale=config.scale,
-            seed=config.seed,
-            store_root=str(store.root),
-            initial_digest=initial_digest,
-            tenants=tuple(tenants),
-            cache_capacity=config.cache_capacity,
-            faults=faults.get(wid, ()),
-        )
-        for wid in range(config.workers)
-    ]
-
-
-def _digest_config(config: ClusterSimConfig) -> dict:
-    """The config coordinates that belong in the scenario digest.
-
-    ``store_root`` is a filesystem location, not behavior, and the two
-    transports are bitwise-equivalent by design — both stay out so the
-    same scenario digests identically wherever (and however) it runs.
-    """
-    core = asdict(config)
-    core.pop("store_root")
-    core.pop("transport")
-    return core
-
-
 def run_session(
-    scenario: AttackScenario,
-    poison: list[Query],
-    validation: Workload,
-    evaluation: Workload,
+    world: World,
     config: ClusterSimConfig,
     store: ArtifactStore,
     guarded: bool,
@@ -242,21 +195,33 @@ def run_session(
 
     ``respawn=False`` runs the router in degraded mode: a failed worker is
     dropped from the ring and its work re-keyed to the survivors instead
-    of being replaced (:func:`run_reroute_drill` exercises this).
+    of being replaced (the re-route leg of :func:`run_cluster_drill`).
     """
-    scenario.reset()
-    model = scenario.model
-    deployed = DeployedEstimator(
-        model, scenario.executor, update_steps=scenario.scale.update_steps
-    )
+    deployed = world.deploy()
+    model = world.scenario.model
     tenants = [f"tenant-{i:02d}" for i in range(config.tenants)]
     stats = ServeStats()
     clock = ManualClock(domain="router")
     with use_clock(clock):
-        baseline = float(evaluate_q_errors(model, evaluation).mean())
+        baseline = world.mean_qerror()
         initial_digest = seed_checkpoint(store, model)
+        specs = [
+            WorkerSpec(
+                worker_id=wid,
+                dataset=config.dataset,
+                model_type=config.model_type,
+                scale=config.scale,
+                seed=config.seed,
+                store_root=str(store.root),
+                initial_digest=initial_digest,
+                tenants=tuple(tenants),
+                cache_capacity=config.cache_capacity,
+                faults=(faults or {}).get(wid, ()),
+            )
+            for wid in range(config.workers)
+        ]
         router = ClusterRouter(
-            _worker_specs(config, store, initial_digest, tenants, faults),
+            specs,
             transport=config.transport,
             vnodes=config.vnodes,
             max_queue=config.max_queue,
@@ -266,22 +231,22 @@ def run_session(
             clock=clock,
         )
         router.start()
-        run = _fresh_run(store, run_id, params=_digest_config(config), seed=config.seed)
+        run = fresh_run(store, "cluster-sim", run_id, config)
         promotion = ClusterPromotion(
             deployed,
             router,
             run,
-            validation=validation,
+            validation=world.validation,
             guard_factor=config.guard_factor if guarded else None,
             retrain_every=config.requests_per_round,
             stats=stats,
         )
         traffic = ClusterTraffic(
-            benign_pool=scenario.train_workload.queries,
-            poison_pool=list(poison),
+            benign_pool=world.scenario.train_workload.queries,
+            poison_pool=list(world.poison),
             tenants=tenants,
             qps=config.qps,
-            poison_fraction=config.poison_fraction if poison else 0.0,
+            poison_fraction=config.poison_fraction if world.poison else 0.0,
             seed=config.seed,
         )
         trace: list[list] = []
@@ -302,23 +267,17 @@ def run_session(
                         request.status, request.estimate,
                     ])
                 event = promotion.flush()
-                mean_qerror = float(evaluate_q_errors(model, evaluation).mean())
-                frames = {
-                    str(wid): int(snapshot.get("frames", 0))
-                    for wid, snapshot in router.worker_stats().items()
-                }
-                rounds.append({
-                    "round": index,
-                    "arrivals": len(submitted),
-                    "benign": sum(1 for r in submitted if r.client == "benign"),
-                    "attacker": sum(1 for r in submitted if r.client == "attacker"),
-                    "waves": waves,
-                    "mean_qerror": mean_qerror,
-                    "promoted": bool(event.promoted) if event else False,
-                    "rolled_back": bool(event.rolled_back) if event else False,
-                    "update_rejected": event.rejected if event else 0,
-                    "worker_frames": frames,
-                })
+                rounds.append(round_record(
+                    index, event, world.mean_qerror(),
+                    arrivals=len(submitted),
+                    benign=sum(1 for r in submitted if r.client == "benign"),
+                    attacker=sum(1 for r in submitted if r.client == "attacker"),
+                    waves=waves,
+                    worker_frames={
+                        str(wid): int(snapshot.get("frames", 0))
+                        for wid, snapshot in router.worker_stats().items()
+                    },
+                ))
             final_checkpoint = seed_checkpoint(store, model)
             run.set_status("done")
             run.commit()
@@ -329,10 +288,9 @@ def run_session(
             }
         finally:
             router.shutdown()
-    final = rounds[-1]["mean_qerror"] if rounds else baseline
     promotions = [b["digest"] for b in promotion.broadcasts]
     core = {
-        "config": _digest_config(config),
+        "config": digest_config(config),
         "guarded": guarded,
         "initial_checkpoint": initial_digest,
         "requests": trace,
@@ -340,91 +298,50 @@ def run_session(
         "qerror_trajectory": [r["mean_qerror"] for r in rounds],
         "final_checkpoint": final_checkpoint,
     }
-    arm = {
-        "guarded": guarded,
-        "digest": scenario_digest(core),
-        "baseline_qerror": baseline,
-        "final_qerror": final,
-        "degradation": final / baseline if baseline > 0.0 else None,
-        "qerror_trajectory": core["qerror_trajectory"],
-        "rounds": rounds,
-        "session_seconds": session_seconds,
-        "throughput_qps": stats.throughput(session_seconds),
-        "initial_checkpoint": initial_digest,
-        "final_checkpoint": final_checkpoint,
-        "promotions": promotions,
-        "respawns": router.respawns,
-        "reroutes": router.reroutes,
-        "quarantines": router.quarantines,
-        "workers_after": len(worker_stats),
-        "run_id": run_id,
-        "workers": worker_stats,
-        "ring_spans": router.ring.spans(),
-        "stats": stats.to_json(),
-        "retrain_events": [e.as_dict() for e in promotion.retrain.events],
-    }
-    if promotion.guard is not None:
-        arm["guard"] = {
-            "factor": promotion.guard.factor,
-            "baseline_qerror": promotion.guard.baseline_qerror,
-            "admissions": promotion.guard.admissions,
-            "vetoes": promotion.guard.vetoes,
-        }
-    return arm
-
-
-def _build_world(config: ClusterSimConfig):
-    scenario = get_scenario(
-        config.dataset, config.model_type, scale=config.scale, seed=config.seed
+    return arm_summary(
+        baseline, rounds, stats, promotion.retrain.events, promotion.guard,
+        guarded=guarded,
+        digest=scenario_digest(core),
+        session_seconds=session_seconds,
+        throughput_qps=stats.throughput(session_seconds),
+        initial_checkpoint=initial_digest,
+        final_checkpoint=final_checkpoint,
+        promotions=promotions,
+        respawns=router.respawns,
+        reroutes=router.reroutes,
+        quarantines=router.quarantines,
+        workers_after=len(worker_stats),
+        run_id=run_id,
+        workers=worker_stats,
+        ring_spans=router.ring.spans(),
     )
-    poison: list[Query] = []
-    if config.poison_fraction > 0.0 and config.attack_method != "clean":
-        # Pre-seat the true-family surrogate so crafting never gambles the
-        # simulation on smoke-scale type speculation (as serve-sim does).
-        get_surrogate(scenario, model_type=scenario.model_type)
-        poison, *_ = craft_poison(scenario, config.attack_method, use_detector=False)
-    validation, evaluation = scenario.test_workload.split(0.5, seed=config.seed + 23)
-    return scenario, poison, validation, evaluation
 
 
 def run_cluster_sim(config: ClusterSimConfig | None = None) -> dict:
     """Run the guarded-vs-unguarded sharded serving simulation."""
     config = config or ClusterSimConfig()
-    scenario, poison, validation, evaluation = _build_world(config)
+    world = build_world(config)
     store = ArtifactStore(config.store_root)
     unguarded = run_session(
-        scenario, poison, validation, evaluation, config, store,
+        world, config, store,
         guarded=False, run_id=f"cluster-unguarded-seed{config.seed}",
     )
     guarded = run_session(
-        scenario, poison, validation, evaluation, config, store,
+        world, config, store,
         guarded=True, run_id=f"cluster-guarded-seed{config.seed}",
     )
-    scenario.reset()
+    world.scenario.reset()
     return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "pace-repro cluster-sim",
-        "config": asdict(config),
-        "poison_pool": len(poison),
-        "validation_queries": len(validation),
-        "evaluation_queries": len(evaluation),
+        **report_header("pace-repro cluster-sim", config, world),
         "arms": {"unguarded": unguarded, "guarded": guarded},
-        "guard_effect": {
-            "unguarded_final_qerror": unguarded["final_qerror"],
-            "guarded_final_qerror": guarded["final_qerror"],
-            "qerror_ratio": (
-                unguarded["final_qerror"] / guarded["final_qerror"]
-                if guarded["final_qerror"] > 0.0 else None
-            ),
-            "guard_wins": guarded["final_qerror"] <= unguarded["final_qerror"],
-        },
+        "guard_effect": guard_effect(unguarded, guarded),
     }
 
 
 def run_cluster_drill(config: ClusterSimConfig | None = None) -> dict:
-    """Kill one worker mid-traffic; prove the digest does not move.
+    """Kill one worker mid-traffic, with and without respawn.
 
-    Two guarded sessions over the identical seeded trace:
+    Three unguarded sessions over the identical seeded trace:
 
     1. **reference** — undisturbed; per-round worker telemetry records how
        many estimate frames the drill target served through round
@@ -435,173 +352,90 @@ def run_cluster_drill(config: ClusterSimConfig | None = None) -> dict:
        ``drill_round``, *after* the previous round's promotion — so the
        respawned replacement must warm-restart from the *promoted*
        lineage digest, not the boot checkpoint, to keep the trace equal.
+       Its scenario digest must match the reference's byte for byte;
+    3. **re-route** (under ``reroute_drill``) — the same kill with the
+       router's respawn off, so recovery is a ring removal plus re-keying
+       the stranded work to the survivors. The surviving topology serves
+       different shards, so no digest can match; the verdict is liveness:
+       the re-route branch fired, every submitted request was finalized,
+       and exactly one worker is gone at session end.
 
-    Both sessions run the *unguarded* arm: every round's retrain
-    promotes, so the drill provably crosses a promotion boundary and the
-    replacement restores replicated lineage, not its birth checkpoint.
-    The two scenario digests must match byte for byte.
+    The sessions run the *unguarded* arm: every round's retrain promotes,
+    so the kill provably crosses a promotion boundary.
     """
     config = config or ClusterSimConfig()
-    if not 1 <= config.drill_round <= config.rounds:
-        raise ReproError(
-            f"drill_round must be in [1, {config.rounds}], got {config.drill_round}"
-        )
-    scenario, poison, validation, evaluation = _build_world(config)
+    workers, rounds = config.workers, config.rounds
+    if workers < 2:
+        raise ReproError(f"the re-route drill needs >= 2 workers, got {workers}")
+    if not 0 <= config.drill_worker < workers:
+        raise ReproError(f"drill_worker must be in [0, {workers}), got {config.drill_worker}")
+    if not 1 <= config.drill_round <= rounds:
+        raise ReproError(f"drill_round must be in [1, {rounds}], got {config.drill_round}")
+    world = build_world(config)
     store = ArtifactStore(config.store_root)
     reference = run_session(
-        scenario, poison, validation, evaluation, config, store,
+        world, config, store,
         guarded=False, run_id=f"cluster-drill-ref-seed{config.seed}",
     )
     # Frames the target served in rounds *before* the drill round; the
     # fault fires on the frame after that — mid-traffic, post-promotion.
-    target = str(config.drill_worker)
     prior = config.drill_round - 2  # index of the last pre-drill round
-    frames_before = (
-        reference["rounds"][prior]["worker_frames"].get(target, 0)
-        if prior >= 0 else 0
-    )
+    frames = reference["rounds"][prior]["worker_frames"] if prior >= 0 else {}
+    ordinal = int(frames.get(str(config.drill_worker), 0)) + 1
     site = ESTIMATE_SITE.format(worker_id=config.drill_worker)
-    faults = {
-        config.drill_worker: ((site, "crash", int(frames_before) + 1),),
-    }
+    faults = {config.drill_worker: ((site, "crash", ordinal),)}
     drilled = run_session(
-        scenario, poison, validation, evaluation, config, store,
+        world, config, store,
         guarded=False, run_id=f"cluster-drill-kill-seed{config.seed}",
         faults=faults,
     )
-    scenario.reset()
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "pace-repro cluster-sim --drill",
-        "config": asdict(config),
-        "drill": {
-            "worker": config.drill_worker,
-            "round": config.drill_round,
-            "site": site,
-            "ordinal": int(frames_before) + 1,
-            "fired": drilled["respawns"] > 0,
-        },
-        "reference": reference,
-        "drilled": drilled,
-        "identical": reference["digest"] == drilled["digest"],
-    }
-
-
-def run_reroute_drill(config: ClusterSimConfig | None = None) -> dict:
-    """Kill one worker mid-traffic with respawn *disabled*; prove service.
-
-    The degraded-mode counterpart of :func:`run_cluster_drill`: the same
-    fault kills the same worker at the same estimate frame, but the router
-    runs with ``respawn=False``, so recovery is a ring removal plus
-    re-keying the stranded work to the survivors. A digest equality is
-    impossible here by construction — the surviving topology serves
-    different shards — so the verdict is liveness instead:
-
-    * the re-route branch actually fired (``reroutes >= 1``);
-    * every submitted request was still finalized (nothing lost);
-    * exactly one worker is gone at session end.
-    """
-    config = config or ClusterSimConfig()
-    if config.workers < 2:
-        raise ReproError(
-            f"the re-route drill needs >= 2 workers, got {config.workers}"
-        )
-    if not 1 <= config.drill_round <= config.rounds:
-        raise ReproError(
-            f"drill_round must be in [1, {config.rounds}], got {config.drill_round}"
-        )
-    scenario, poison, validation, evaluation = _build_world(config)
-    store = ArtifactStore(config.store_root)
-    reference = run_session(
-        scenario, poison, validation, evaluation, config, store,
-        guarded=False, run_id=f"cluster-reroute-ref-seed{config.seed}",
-    )
-    target = str(config.drill_worker)
-    prior = config.drill_round - 2  # index of the last pre-drill round
-    frames_before = (
-        reference["rounds"][prior]["worker_frames"].get(target, 0)
-        if prior >= 0 else 0
-    )
-    site = ESTIMATE_SITE.format(worker_id=config.drill_worker)
-    faults = {
-        config.drill_worker: ((site, "crash", int(frames_before) + 1),),
-    }
-    drilled = run_session(
-        scenario, poison, validation, evaluation, config, store,
+    rerouted = run_session(
+        world, config, store,
         guarded=False, run_id=f"cluster-reroute-kill-seed{config.seed}",
         faults=faults, respawn=False,
     )
-    scenario.reset()
-    stats = drilled["stats"]
-    finalized = stats["completed"] + stats["shed"] + stats["rejected"]
-    fired = drilled["reroutes"] > 0
-    all_finalized = finalized == stats["submitted"]
-    survivors_ok = drilled["workers_after"] == config.workers - 1
+    world.scenario.reset()
+    stats = rerouted["stats"]
+    fired = rerouted["reroutes"] > 0
+    all_finalized = (
+        stats["completed"] + stats["shed"] + stats["rejected"] == stats["submitted"]
+    )
+    survivors_ok = rerouted["workers_after"] == workers - 1
+    drill = dict(worker=config.drill_worker, round=config.drill_round, site=site,
+                 ordinal=ordinal)
+    header = report_header("pace-repro cluster-sim --drill", config)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "pace-repro cluster-sim --drill",
-        "config": asdict(config),
-        "drill": {
-            "worker": config.drill_worker,
-            "round": config.drill_round,
-            "site": site,
-            "ordinal": int(frames_before) + 1,
-            "fired": fired,
-            "all_finalized": all_finalized,
-            "workers_after": drilled["workers_after"],
-            "survivors_ok": survivors_ok,
-            "ok": bool(fired and all_finalized and survivors_ok),
-        },
+        **header,
+        "drill": {**drill, "fired": drilled["respawns"] > 0},
         "reference": reference,
         "drilled": drilled,
+        "identical": reference["digest"] == drilled["digest"],
+        "reroute_drill": {
+            **header,
+            "drill": {
+                **drill,
+                "fired": fired,
+                "all_finalized": all_finalized,
+                "workers_after": rerouted["workers_after"],
+                "survivors_ok": survivors_ok,
+                "ok": bool(fired and all_finalized and survivors_ok),
+            },
+            "drilled": rerouted,
+        },
     }
 
 
 def format_cluster_report(report: dict) -> str:
     """Console summary for ``pace-repro cluster-sim``."""
-    from repro.metrics import render_table
-
     config = report["config"]
-    rows = []
-    for arm_name in ("unguarded", "guarded"):
-        arm = report["arms"][arm_name]
-        stats = arm["stats"]
-        rows.append([
-            arm_name,
-            f"{arm['baseline_qerror']:.3f}",
-            f"{arm['final_qerror']:.3f}",
-            f"{arm['degradation']:.2f}x" if arm["degradation"] is not None else "-",
-            f"{stats['promotions']}/{stats['rollbacks']}",
-            f"{stats['completed']}/{stats['shed']}/{stats['rejected']}",
-            arm["digest"][:12],
-        ])
-    lines = [render_table(
-        ["arm", "clean q-err", "final q-err", "degradation",
-         "promote/rollback", "done/shed/rej", "digest"],
-        rows,
-        title=(
-            f"pace-repro cluster-sim · {config['dataset']}/{config['model_type']} · "
-            f"{config['workers']} workers x {config['tenants']} tenants · "
-            f"{config['attack_method']} @ poison={config['poison_fraction']:.0%} · "
-            f"seed={config['seed']}"
-        ),
-    )]
-    effect = report["guard_effect"]
-    if effect["qerror_ratio"] is not None:
-        lines.append(
-            f"\nguard effect: final q-error {effect['unguarded_final_qerror']:.3f} "
-            f"(unguarded) vs {effect['guarded_final_qerror']:.3f} (guarded) — "
-            f"{effect['qerror_ratio']:.2f}x better with the guard"
-        )
-    return "\n".join(lines)
+    return "\n".join(format_arms(report, {
+        "done/shed/rej": outcome_counts,
+        "digest": lambda arm: arm["digest"][:12],
+    }, scope=f"{config['workers']} workers x {config['tenants']} tenants · "))
 
 
 def format_drill_report(report: dict) -> str:
-    """Console summary for ``pace-repro cluster-sim --drill``.
-
-    ``report`` is a :func:`run_cluster_drill` report carrying the
-    :func:`run_reroute_drill` report under ``reroute_drill``.
-    """
+    """Console summary for ``pace-repro cluster-sim --drill``."""
     drill = report["drill"]
     ref, hit = report["reference"], report["drilled"]
     verdict = "IDENTICAL" if report["identical"] else "DIVERGED"

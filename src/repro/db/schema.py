@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.utils.errors import SchemaError
 
 
@@ -138,10 +136,13 @@ class DatabaseSchema:
         )
         self._attribute_index = {tc: i for i, tc in enumerate(self.attribute_order)}
 
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(self.table_names)
+        # The join graph as adjacency in join-declaration order. A later
+        # edge between the same two tables replaces the earlier one but
+        # keeps its place in the order.
+        self._adjacency: dict[str, dict[str, JoinEdge]] = {t: {} for t in self.table_names}
         for edge in self.joins:
-            self._graph.add_edge(edge.left_table, edge.right_table, edge=edge)
+            self._adjacency[edge.left_table][edge.right_table] = edge
+            self._adjacency[edge.right_table][edge.left_table] = edge
 
         # The schema is immutable after construction, so join-graph queries
         # keyed by table subsets are memoized (the generators and the
@@ -183,10 +184,6 @@ class DatabaseSchema:
     # ------------------------------------------------------------------
     # join-graph queries
     # ------------------------------------------------------------------
-    def join_graph(self) -> nx.Graph:
-        """A copy of the FK join graph (nodes = tables)."""
-        return self._graph.copy()
-
     def is_valid_join_set(self, tables) -> bool:
         """True when ``tables`` is non-empty and connected in the join graph."""
         key = frozenset(tables)
@@ -199,10 +196,9 @@ class DatabaseSchema:
     def _is_valid_join_set(self, tables: frozenset[str]) -> bool:
         if not tables or not tables <= set(self.table_names):
             return False
-        if len(tables) == 1:
-            return True
-        sub = self._graph.subgraph(tables)
-        return nx.is_connected(sub)
+        start = min(tables, key=self._table_index.__getitem__)
+        reached, _ = self._breadth_first(start, tables)
+        return len(reached) == len(tables)
 
     def join_edges_within(self, tables) -> list[JoinEdge]:
         """Edges of a spanning tree over ``tables`` (deterministic BFS order)."""
@@ -216,16 +212,45 @@ class DatabaseSchema:
     def _join_edges_within(self, tables: frozenset[str]) -> list[JoinEdge]:
         if not self.is_valid_join_set(tables):
             raise SchemaError(f"tables {sorted(tables)} are not a connected join set")
-        if len(tables) == 1:
-            return []
-        sub = self._graph.subgraph(tables)
-        start = min(tables, key=self._table_index.get)
-        tree_edges = list(nx.bfs_edges(sub, start))
-        return [self._graph.edges[u, v]["edge"] for u, v in tree_edges]
+        start = min(tables, key=self._table_index.__getitem__)
+        _, tree = self._breadth_first(start, tables)
+        return tree
+
+    def _breadth_first(self, start: str, tables) -> tuple[list[str], list[JoinEdge]]:
+        """Breadth-first search from ``start`` within ``tables``.
+
+        Returns the tables reached, in visiting order, and the tree edges
+        that reached them. Neighbors are visited in join-declaration order,
+        so both are a pure function of the schema, never of set order.
+        """
+        reached = [start]
+        tree: list[JoinEdge] = []
+        for table in reached:
+            for neighbor, edge in self._adjacency[table].items():
+                if neighbor in tables and neighbor not in reached:
+                    reached.append(neighbor)
+                    tree.append(edge)
+        return reached, tree
+
+    def components(self, tables) -> list[list[str]]:
+        """Connected components of ``tables`` in the join graph.
+
+        Tables are in schema order within each component, and components
+        are listed by their earliest table.
+        """
+        members = set(tables)
+        seen: set[str] = set()
+        found: list[list[str]] = []
+        for table in self.table_names:
+            if table in members and table not in seen:
+                reached = set(self._breadth_first(table, members)[0])
+                seen |= reached
+                found.append([t for t in self.table_names if t in reached])
+        return found
 
     def neighbors(self, table: str) -> tuple[str, ...]:
         self.table(table)
-        return tuple(sorted(self._graph.neighbors(table)))
+        return tuple(sorted(self._adjacency[table]))
 
     def connected_join_sets(self, max_size: int) -> list[frozenset[str]]:
         """Enumerate every connected table subset up to ``max_size`` tables."""
@@ -236,7 +261,7 @@ class DatabaseSchema:
             if len(current) >= max_size:
                 continue
             for table in current:
-                for neighbor in self._graph.neighbors(table):
+                for neighbor in self._adjacency[table]:
                     grown = current | {neighbor}
                     if grown not in found:
                         found.add(grown)

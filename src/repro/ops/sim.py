@@ -27,30 +27,25 @@ stable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from repro.ce.deployment import DeployedEstimator
-from repro.ce.trainer import evaluate_q_errors
-from repro.cluster.sim import scenario_digest
-from repro.harness.experiments import (
-    AttackScenario,
-    craft_poison,
-    get_scenario,
-    get_surrogate,
-)
 from repro.ops.chaos import CanaryProbe, ChaosTraffic
 from repro.ops.loop import OpsController
 from repro.ops.actions import ServePlant
-from repro.serve.cache import EstimateCache
-from repro.serve.replay import ReplayConfig
-from repro.serve.retrain import RetrainLoop
-from repro.serve.server import EstimatorServer
-from repro.serve.stats import ServeStats
+from repro.serve.scenario import (
+    World,
+    arm_summary,
+    build_world,
+    digest_config,
+    format_arms,
+    fresh_run,
+    report_header,
+    round_record,
+    scenario_digest,
+    serving_stack,
+)
 from repro.store.store import ArtifactStore
 from repro.utils.clock import ManualClock, use_clock
-from repro.workload.workload import Workload
-
-SCHEMA_VERSION = 1
 
 #: Default on-disk location of the ops-sim lineage store.
 DEFAULT_OPS_STORE = "ops-store"
@@ -89,87 +84,42 @@ class OpsSimConfig:
     store_root: str = DEFAULT_OPS_STORE
 
 
-def _digest_config(config: OpsSimConfig) -> dict:
-    """Config coordinates for the scenario digest (paths stay out)."""
-    core = asdict(config)
-    core.pop("store_root")
-    return core
-
-
-def _fresh_run(store: ArtifactStore, run_id: str, params: dict, seed: int):
-    if store.has_run(run_id):
-        store.delete_run(run_id)
-    return store.create_run("ops-sim", run_id, params=params, seed=seed)
-
-
 def _run_ops_arm(
-    scenario: AttackScenario,
-    poison,
-    validation: Workload,
-    canary: Workload,
-    evaluation: Workload,
+    world: World,
     config: OpsSimConfig,
     store: ArtifactStore,
     ops_enabled: bool,
     run_id: str,
 ) -> dict:
     """Serve the full chaos session from clean parameters; one arm."""
-    scenario.reset()
-    model = scenario.model
-    deployed = DeployedEstimator(
-        model, scenario.executor, update_steps=scenario.scale.update_steps
-    )
-    stats = ServeStats()
-    cache = EstimateCache(capacity=config.cache_capacity)
-    run = _fresh_run(store, run_id, params=_digest_config(config), seed=config.seed)
+    deployed = world.deploy()
+    model = world.scenario.model
+    run = fresh_run(store, "ops-sim", run_id, config)
     # Both arms start UNGUARDED: installing the guard is the controller's
     # job, and only after it has diagnosed why quality regressed.
-    retrain = RetrainLoop(
-        deployed,
-        retrain_every=config.requests_per_round,
-        guard=None,
-        on_promote=cache.invalidate,
-        stats=stats,
-        run=run,
-    )
-    server = EstimatorServer(
-        deployed,
-        max_queue=config.max_queue,
-        max_batch=config.max_batch,
-        cache=cache,
-        retrain=retrain,
-        stats=stats,
-        default_timeout=config.timeout,
-    )
+    server = serving_stack(deployed, config, run=run)
+    cache, retrain, stats = server.cache, server.retrain, server.stats
     plant = ServePlant(
         deployed,
         retrain,
         cache=cache,
         run=run,
-        validation=validation,
+        validation=world.validation,
         guard_factor=config.guard_factor,
     )
     controller = (
-        OpsController(plant, cooldown_ticks=config.cooldown_ticks)
-        if ops_enabled
-        else None
+        OpsController(plant, cooldown_ticks=config.cooldown_ticks) if ops_enabled else None
     )
     traffic = ChaosTraffic(
-        scenario.train_workload.queries,
-        list(poison),
-        ReplayConfig(
-            qps=config.qps,
-            poison_fraction=config.poison_fraction if poison else 0.0,
-            timeout=config.timeout,
-            service_hz=config.service_hz,
-            seed=config.seed,
-        ),
+        world.scenario.train_workload.queries,
+        list(world.poison),
+        world.replay_config(config),
         start_round=config.chaos_round,
     )
-    probe = CanaryProbe(canary)
+    probe = CanaryProbe(world.canary)
     rounds: list[dict] = []
     with use_clock(ManualClock()) as clock:
-        baseline = float(evaluate_q_errors(model, evaluation).mean())
+        baseline = world.mean_qerror()
         canary_value = probe.sample(model)
         if controller is not None:
             # Tick 0 baselines the detectors and marks the clean model
@@ -192,124 +142,77 @@ def _run_ops_arm(
                     # Re-probe after a repair so the trajectory records
                     # what the *recovered* model serves.
                     canary_value = probe.sample(model)
-            mean_qerror = float(evaluate_q_errors(model, evaluation).mean())
-            rounds.append({
-                "round": index,
-                "chaos_active": traffic.chaos_active,
-                "arrivals": result.arrivals,
-                "benign": result.benign,
-                "attacker": result.attacker,
-                "mean_qerror": mean_qerror,
-                "canary_qerror": canary_value,
-                "promoted": bool(event.promoted) if event else False,
-                "rolled_back": bool(event.rolled_back) if event else False,
-                "update_rejected": event.rejected if event else 0,
-                "tick": None if tick is None else tick.as_dict(),
-            })
+            rounds.append(round_record(
+                index, event, world.mean_qerror(),
+                chaos_active=traffic.chaos_active,
+                arrivals=result.arrivals,
+                benign=result.benign,
+                attacker=result.attacker,
+                canary_qerror=canary_value,
+                tick=None if tick is None else tick.as_dict(),
+            ))
         session_seconds = clock()
         final_checkpoint = store.put_checkpoint(model.full_state_dict()).digest
         run.set_status("done")
         run.commit()
-    final = rounds[-1]["mean_qerror"] if rounds else baseline
-    alarms = [] if controller is None else [a.as_dict() for a in controller.bank.alarms]
-    actions = []
+    alarms, actions = [], []
     if controller is not None:
-        for tick_result in controller.state.ticks:
-            actions.extend(result.as_dict() for result in tick_result.results)
-    core = {
-        "config": _digest_config(config),
+        alarms = [a.as_dict() for a in controller.bank.alarms]
+        actions = [r.as_dict() for step in controller.state.ticks for r in step.results]
+    arm = arm_summary(
+        baseline, rounds, stats, retrain.events,
+        ops_enabled=ops_enabled,
+        run_id=run_id,
+        canary_trajectory=[r["canary_qerror"] for r in rounds],
+        session_seconds=session_seconds,
+        final_checkpoint=final_checkpoint,
+        controller=None if controller is None else controller.as_dict(),
+        lineage={
+            kind: len(run.events(kind))
+            for kind in ("ops_alarm", "ops_action", "promotion", "rollback")
+        },
+    )
+    arm["digest"] = scenario_digest({
+        "config": digest_config(config),
         "ops_enabled": ops_enabled,
         "baseline_qerror": baseline,
-        "qerror_trajectory": [r["mean_qerror"] for r in rounds],
-        "canary_trajectory": [r["canary_qerror"] for r in rounds],
+        "qerror_trajectory": arm["qerror_trajectory"],
+        "canary_trajectory": arm["canary_trajectory"],
         "alarms": alarms,
         "actions": actions,
-        "retrain_events": [e.as_dict() for e in retrain.events],
+        "retrain_events": arm["retrain_events"],
         "final_checkpoint": final_checkpoint,
-    }
-    return {
-        "ops_enabled": ops_enabled,
-        "digest": scenario_digest(core),
-        "run_id": run_id,
-        "baseline_qerror": baseline,
-        "final_qerror": final,
-        "degradation": final / baseline if baseline > 0.0 else None,
-        "qerror_trajectory": core["qerror_trajectory"],
-        "canary_trajectory": core["canary_trajectory"],
-        "rounds": rounds,
-        "session_seconds": session_seconds,
-        "final_checkpoint": final_checkpoint,
-        "stats": stats.to_json(),
-        "retrain_events": core["retrain_events"],
-        "controller": None if controller is None else controller.as_dict(),
-        "lineage": {
-            "ops_alarm": len(run.events("ops_alarm")),
-            "ops_action": len(run.events("ops_action")),
-            "promotion": len(run.events("promotion")),
-            "rollback": len(run.events("rollback")),
-        },
-    }
+    })
+    return arm
 
 
-def _build_world(config: OpsSimConfig):
-    scenario = get_scenario(
-        config.dataset, config.model_type, scale=config.scale, seed=config.seed
-    )
-    poison = []
-    if config.poison_fraction > 0.0 and config.attack_method != "clean":
-        # Pre-seat the true-family surrogate so crafting never gambles the
-        # simulation on smoke-scale type speculation (as serve-sim does).
-        get_surrogate(scenario, model_type=scenario.model_type)
-        poison, *_ = craft_poison(scenario, config.attack_method, use_detector=False)
-    validation, held_out = scenario.test_workload.split(0.5, seed=config.seed + 23)
-    canary, evaluation = held_out.split(0.5, seed=config.seed + 29)
-    return scenario, poison, validation, canary, evaluation
-
-
-def run_ops_sim(config: OpsSimConfig | None = None, stability: bool = True) -> dict:
+def run_ops_sim(config: OpsSimConfig | None = None) -> dict:
     """Run the chaos scenario: no-ops vs ops arms + a digest-stability replay."""
     config = config or OpsSimConfig()
-    scenario, poison, validation, canary, evaluation = _build_world(config)
+    world = build_world(config, canary=True)
     store = ArtifactStore(config.store_root)
     no_ops = _run_ops_arm(
-        scenario, poison, validation, canary, evaluation, config, store,
-        ops_enabled=False, run_id=f"ops-noops-seed{config.seed}",
+        world, config, store, ops_enabled=False, run_id=f"ops-noops-seed{config.seed}",
     )
     ops = _run_ops_arm(
-        scenario, poison, validation, canary, evaluation, config, store,
-        ops_enabled=True, run_id=f"ops-ctrl-seed{config.seed}",
+        world, config, store, ops_enabled=True, run_id=f"ops-ctrl-seed{config.seed}",
     )
-    repeat_digest = None
-    if stability:
-        repeat = _run_ops_arm(
-            scenario, poison, validation, canary, evaluation, config, store,
-            ops_enabled=True, run_id=f"ops-ctrl-repeat-seed{config.seed}",
-        )
-        repeat_digest = repeat["digest"]
-    scenario.reset()
-    recovery_ratio = (
-        ops["final_qerror"] / ops["baseline_qerror"]
-        if ops["baseline_qerror"] > 0.0 else None
+    repeat = _run_ops_arm(
+        world, config, store,
+        ops_enabled=True, run_id=f"ops-ctrl-repeat-seed{config.seed}",
     )
-    noops_ratio = (
-        no_ops["final_qerror"] / no_ops["baseline_qerror"]
-        if no_ops["baseline_qerror"] > 0.0 else None
-    )
+    world.scenario.reset()
+    recovery_ratio = ops["degradation"]
     detected = ops["lineage"]["ops_alarm"] > 0
     acted = ops["lineage"]["ops_action"] > 0
     recovered = recovery_ratio is not None and recovery_ratio <= config.recovery_factor
+    noops_ratio = no_ops["degradation"]
     degraded = noops_ratio is not None and noops_ratio >= config.degrade_factor
-    digest_stable = repeat_digest is None or ops["digest"] == repeat_digest
+    digest_stable = ops["digest"] == repeat["digest"]
     return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "pace-repro ops-sim",
-        "config": asdict(config),
-        "poison_pool": len(poison),
-        "validation_queries": len(validation),
-        "canary_queries": len(canary),
-        "evaluation_queries": len(evaluation),
+        **report_header("pace-repro ops-sim", config, world),
         "arms": {"no_ops": no_ops, "ops": ops},
-        "repeat_digest": repeat_digest,
+        "repeat_digest": repeat["digest"],
         "verdict": {
             "detected": detected,
             "lineage_recorded": acted,
@@ -327,35 +230,13 @@ def run_ops_sim(config: OpsSimConfig | None = None, stability: bool = True) -> d
 
 def format_ops_report(report: dict) -> str:
     """Console summary for ``pace-repro ops-sim``."""
-    from repro.metrics import render_table
-
     config = report["config"]
-    rows = []
-    for arm_name in ("no_ops", "ops"):
-        arm = report["arms"][arm_name]
-        stats = arm["stats"]
-        controller = arm["controller"]
-        rows.append([
-            arm_name,
-            f"{arm['baseline_qerror']:.3f}",
-            f"{arm['final_qerror']:.3f}",
-            f"{arm['degradation']:.2f}x" if arm["degradation"] is not None else "-",
-            f"{stats['promotions']}/{stats['rollbacks']}",
-            "-" if controller is None else str(controller["alarms_total"]),
-            "-" if controller is None else str(controller["actions_taken"]),
-            arm["digest"][:12],
-        ])
     verdict = report["verdict"]
-    lines = [render_table(
-        ["arm", "clean q-err", "final q-err", "degradation",
-         "promote/rollback", "alarms", "actions", "digest"],
-        rows,
-        title=(
-            f"pace-repro ops-sim · {config['dataset']}/{config['model_type']} · "
-            f"{config['attack_method']} @ poison={config['poison_fraction']:.0%} "
-            f"from round {config['chaos_round']} · seed={config['seed']}"
-        ),
-    )]
+    lines = format_arms(report, {
+        "alarms": lambda arm: _controller_count(arm, "alarms_total"),
+        "actions": lambda arm: _controller_count(arm, "actions_taken"),
+        "digest": lambda arm: arm["digest"][:12],
+    }, onset=f" from round {config['chaos_round']}")
     ratio = verdict["recovery_ratio"]
     noops = verdict["noops_ratio"]
     lines.append(
@@ -369,3 +250,8 @@ def format_ops_report(report: dict) -> str:
     )
     lines.append(f"ops-sim: {'ok' if verdict['ok'] else 'FAIL'}")
     return "\n".join(lines)
+
+
+def _controller_count(arm: dict, key: str) -> str:
+    controller = arm["controller"]
+    return "-" if controller is None else str(controller[key])

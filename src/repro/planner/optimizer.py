@@ -48,7 +48,6 @@ class JoinOrderOptimizer:
             plan = ScanNode(frozenset(tables), table=tables[0])
             return PlannedQuery(query, plan, believed_cost=0.0)
 
-        graph = self.schema.join_graph().subgraph(tables)
         best: dict[frozenset[str], tuple[float, PlanNode]] = {}
         for t in tables:
             best[frozenset([t])] = (0.0, ScanNode(frozenset([t]), table=t))
@@ -62,12 +61,10 @@ class JoinOrderOptimizer:
                 )
             return card_cache[subset]
 
-        import networkx as nx
-
         for size in range(2, len(tables) + 1):
             for combo in combinations(tables, size):
                 subset = frozenset(combo)
-                if not nx.is_connected(graph.subgraph(subset)):
+                if not self.schema.is_valid_join_set(subset):
                     continue
                 subset_card = cardinality(subset)
                 best_cost = None
@@ -86,10 +83,7 @@ class JoinOrderOptimizer:
                     if left_entry is None or right_entry is None:
                         continue
                     # Require a join edge between halves (no cross products).
-                    if not any(
-                        graph.has_edge(a, b) for a in left for b in graph.neighbors(a)
-                        if b in right
-                    ):
+                    if not any(b in right for a in left for b in self.schema.neighbors(a)):
                         continue
                     cost = left_entry[0] + right_entry[0] + subset_card
                     if best_cost is None or cost < best_cost:

@@ -160,19 +160,14 @@ class QueryEncoder:
         return [self.decode(row, repair=repair) for row in np.asarray(matrix)]
 
     def _repair_join_set(self, join_bits: np.ndarray, tables: set[str]) -> set[str]:
-        import networkx as nx
-
         if not tables:
             best = int(np.argmax(join_bits))
             return {self.schema.table_names[best]}
-        graph = self.schema.join_graph().subgraph(tables)
-        components = list(nx.connected_components(graph))
-        # Sum in schema order: summing in set-iteration order would make the
-        # float total (and near-tie argmax picks) hash-seed dependent.
-        scores = [
-            sum(join_bits[i] for i in sorted(self.schema.table_index(t) for t in comp))
-            for comp in components
-        ]
+        # Components and their members come in schema order, so the float
+        # sums and the argmax tie-break (to the component holding the
+        # earliest table) never depend on the hash seed.
+        components = self.schema.components(tables)
+        scores = [sum(join_bits[self.schema.table_index(t)] for t in comp) for comp in components]
         return set(components[int(np.argmax(scores))])
 
     # ------------------------------------------------------------------

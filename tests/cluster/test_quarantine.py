@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.router import ClusterError, ClusterRouter, node_label
-from repro.cluster.sim import ClusterSimConfig, run_reroute_drill
+from repro.cluster.sim import ClusterSimConfig, run_cluster_drill
 from repro.serve.server import DONE
 from repro.utils.clock import ManualClock
 from repro.utils.errors import ReproError
@@ -63,29 +63,30 @@ class TestQuarantine:
 class TestRerouteDrill:
     def test_config_validation(self, tmp_path):
         with pytest.raises(ReproError, match=">= 2 workers"):
-            run_reroute_drill(ClusterSimConfig(
+            run_cluster_drill(ClusterSimConfig(
                 workers=1, store_root=str(tmp_path)
             ))
         with pytest.raises(ReproError, match="drill_round"):
-            run_reroute_drill(ClusterSimConfig(
+            run_cluster_drill(ClusterSimConfig(
                 rounds=2, drill_round=3, store_root=str(tmp_path)
             ))
 
     def test_degraded_mode_survives_the_kill(self, tmp_path):
-        report = run_reroute_drill(ClusterSimConfig(
+        full = run_cluster_drill(ClusterSimConfig(
             workers=2,
             rounds=2,
             requests_per_round=32,
             attack_method="random",
             store_root=str(tmp_path / "cluster-store"),
         ))
+        report = full["reroute_drill"]
         drill = report["drill"]
         assert drill["fired"], "the re-route branch never triggered"
         assert drill["all_finalized"]
         assert drill["survivors_ok"]
         assert drill["ok"]
         # Reference keeps both workers; the drilled arm lost exactly one.
-        assert report["reference"]["workers_after"] == 2
+        assert full["reference"]["workers_after"] == 2
         assert report["drilled"]["workers_after"] == 1
         assert report["drilled"]["reroutes"] >= 1
-        assert report["reference"]["reroutes"] == 0
+        assert full["reference"]["reroutes"] == 0

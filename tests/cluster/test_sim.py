@@ -6,18 +6,18 @@ import pytest
 
 from repro.cluster.promotion import seed_checkpoint
 from repro.cluster.router import ClusterRouter
+import repro.cluster.sim as sim
 from repro.cluster.sim import (
     ClusterSimConfig,
     ClusterTraffic,
-    _build_world,
     drive_round,
     run_cluster_drill,
     run_cluster_sim,
     run_session,
-    scenario_digest,
 )
 from repro.cluster.worker import WorkerSpec
 from repro.harness.experiments import get_scenario
+from repro.serve.scenario import build_world, scenario_digest
 from repro.serve.server import DONE
 from repro.store.store import ArtifactStore
 from repro.utils.clock import ManualClock, use_clock
@@ -36,7 +36,7 @@ CLEAN = ClusterSimConfig(
 
 @pytest.fixture(scope="module")
 def clean_world():
-    return _build_world(CLEAN)
+    return build_world(CLEAN)
 
 
 class TestTraffic:
@@ -87,10 +87,9 @@ class TestScenarioDigest:
 
 class TestSession:
     def test_digest_is_independent_of_store_location(self, clean_world, tmp_path):
-        scenario, poison, validation, evaluation = clean_world
         arms = [
             run_session(
-                scenario, poison, validation, evaluation, CLEAN,
+                clean_world, CLEAN,
                 ArtifactStore(tmp_path / name), guarded=False, run_id="probe",
             )
             for name in ("a", "b")
@@ -104,13 +103,12 @@ class TestSession:
     def test_guarded_arm_digests_differently_and_reports_guard(
         self, clean_world, tmp_path
     ):
-        scenario, poison, validation, evaluation = clean_world
         unguarded = run_session(
-            scenario, poison, validation, evaluation, CLEAN,
+            clean_world, CLEAN,
             ArtifactStore(tmp_path / "u"), guarded=False, run_id="probe",
         )
         guarded = run_session(
-            scenario, poison, validation, evaluation, CLEAN,
+            clean_world, CLEAN,
             ArtifactStore(tmp_path / "g"), guarded=True, run_id="probe",
         )
         assert guarded["digest"] != unguarded["digest"]
@@ -134,6 +132,45 @@ class TestDrill:
     def test_drill_round_bounds_validated(self):
         with pytest.raises(ReproError, match=r"drill_round must be in \[1, 2\]"):
             run_cluster_drill(dataclasses.replace(CLEAN, rounds=2, drill_round=3))
+
+    @pytest.mark.parametrize("worker", [-1, 2, 5])
+    def test_drill_worker_outside_the_cluster_is_refused(self, worker, monkeypatch):
+        # Refused before any world is built or session served.
+        monkeypatch.setattr(sim, "build_world", None)
+        with pytest.raises(ReproError, match=r"drill_worker must be in \[0, 2\)"):
+            run_cluster_drill(dataclasses.replace(CLEAN, rounds=2, drill_worker=worker))
+
+    def test_drill_runs_one_reference_and_two_kills(self, monkeypatch):
+        sessions = []
+
+        def fake_session(world, config, store, guarded, run_id, faults=None,
+                         respawn=True):
+            sessions.append((run_id, guarded, faults, respawn))
+            killed = faults is not None
+            return {
+                "digest": "d" * 64,
+                "rounds": [{"worker_frames": {"0": 7, "1": 9}}],
+                "respawns": int(killed and respawn),
+                "reroutes": int(killed and not respawn),
+                "workers_after": 1 if killed and not respawn else 2,
+                "stats": {"submitted": 4, "completed": 3, "shed": 1, "rejected": 0},
+            }
+
+        class FakeWorld:
+            scenario = type("Scenario", (), {"reset": lambda self: None})()
+
+        monkeypatch.setattr(sim, "build_world", lambda config: FakeWorld())
+        monkeypatch.setattr(sim, "run_session", fake_session)
+        report = run_cluster_drill(dataclasses.replace(CLEAN, rounds=2))
+        kill = (("cluster:worker:0:estimate", "crash", 8),)
+        assert sessions == [
+            ("cluster-drill-ref-seed0", False, None, True),
+            ("cluster-drill-kill-seed0", False, {0: kill}, True),
+            ("cluster-reroute-kill-seed0", False, {0: kill}, False),
+        ]
+        assert report["identical"] and report["drill"]["fired"]
+        assert report["reroute_drill"]["drill"]["ok"]
+        assert "reference" not in report["reroute_drill"]
 
     def test_kill_drill_digest_is_byte_identical(self, tmp_path):
         config = ClusterSimConfig(

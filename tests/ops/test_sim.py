@@ -25,7 +25,7 @@ def fast_report(tmp_path_factory):
         **FAST_KWARGS,
         store_root=str(tmp_path_factory.mktemp("ops-store")),
     )
-    return run_ops_sim(config, stability=True)
+    return run_ops_sim(config)
 
 
 class TestReportShape:

@@ -1,5 +1,9 @@
 """CLI smoke and contract tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -209,37 +213,31 @@ class TestDurableRunCommands:
 class TestClusterDrillCommand:
     """``cluster-sim --drill`` gates on both the kill and the re-route drill.
 
-    The drills themselves are covered in ``tests/cluster``; here they are
-    stubbed so only the command's exit-code contract is exercised.
+    The drill itself is covered in ``tests/cluster``; here it is stubbed
+    so only the command's exit-code contract is exercised.
     """
 
     @staticmethod
-    def _kill_report(identical=True, fired=True):
+    def _report(identical=True, fired=True, reroute_ok=True):
         return {
             "drill": {"worker": 0, "ordinal": 1, "round": 2, "fired": fired},
             "reference": {"respawns": 0, "digest": "0" * 64},
             "drilled": {"respawns": int(fired), "digest": "0" * 64},
             "identical": identical,
+            "reroute_drill": {"drill": {
+                "worker": 0, "fired": reroute_ok, "workers_after": 1,
+                "all_finalized": reroute_ok, "ok": reroute_ok,
+            }},
         }
-
-    @staticmethod
-    def _reroute_report(ok=True):
-        return {"drill": {
-            "worker": 0, "fired": ok, "workers_after": 1,
-            "all_finalized": ok, "ok": ok,
-        }}
 
     @pytest.fixture()
     def drills(self, monkeypatch):
         import repro.cluster.sim as sim
 
         verdicts = {"identical": True, "fired": True, "reroute_ok": True}
-        monkeypatch.setattr(sim, "run_cluster_drill", lambda config: (
-            self._kill_report(verdicts["identical"], verdicts["fired"])
-        ))
-        monkeypatch.setattr(sim, "run_reroute_drill", lambda config: (
-            self._reroute_report(verdicts["reroute_ok"])
-        ))
+        monkeypatch.setattr(
+            sim, "run_cluster_drill", lambda config: self._report(**verdicts)
+        )
         return verdicts
 
     @pytest.mark.parametrize("failing, expected", [
@@ -258,3 +256,22 @@ class TestClusterDrillCommand:
     def test_single_worker_drill_is_a_usage_error(self, drills, capsys):
         assert main(["cluster-sim", "--drill", "--workers", "1"]) == 2
         assert "--workers >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("worker", ["-1", "2", "5"])
+    def test_drill_worker_outside_the_cluster_is_a_usage_error(
+        self, drills, worker, capsys
+    ):
+        code = main(["cluster-sim", "--drill", "--drill-worker", worker])
+        assert code == 2
+        assert "--drill-worker must be in [0, 2)" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_networkx_out():
+    # networkx is a dev-only test oracle; a fresh interpreter importing the
+    # CLI must not load it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,9 @@
 """Query encoding: layout, roundtrips, repair, property-based checks."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +108,30 @@ class TestRoundtrip:
         vec[db.schema.table_index("title")] = 0.45  # below threshold
         q = enc.decode(vec, repair=True)
         assert q.tables == frozenset({"title"})
+
+    def test_repair_tie_goes_to_the_earliest_table_under_every_hash_seed(self, imdb):
+        # "name" and "kind_type" share no join, so each is its own
+        # component with the same score; the tie must not follow the
+        # hash-seeded iteration order of the table set.
+        db, enc = imdb
+        assert db.schema.table_index("name") < db.schema.table_index("kind_type")
+        snippet = (
+            "import numpy as np\n"
+            "from repro.datasets import load_dataset\n"
+            "from repro.workload import QueryEncoder\n"
+            "enc = QueryEncoder(load_dataset('imdb', scale='smoke', seed=0).schema)\n"
+            "print(sorted(enc._repair_join_set(np.ones(21), {'name', 'kind_type'})))\n"
+        )
+        answers = set()
+        for hash_seed in ("0", "4", "5", "7"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            done = subprocess.run(
+                [sys.executable, "-c", snippet], env=env,
+                capture_output=True, text=True, check=True,
+            )
+            answers.add(done.stdout.strip())
+        assert answers == {"['name']"}
 
     def test_swapped_bounds_fixed(self, dmv):
         db, enc = dmv
